@@ -3,9 +3,9 @@
 //! exchange volume.
 //!
 //! The paper's future-work item 3 asks for multi-GPU / multi-computer
-//! execution; `ShardedBackend` runs it for real: one worker per
-//! partition part, shard-local sweeps, and a gather/reduce/broadcast
-//! halo exchange every iteration. This binary measures that path on the
+//! execution; `sharded:N` (the bounded-staleness executor at `k = 0`)
+//! runs it for real: one worker per partition part, shard-local sweeps,
+//! and a stage/reduce/broadcast halo exchange every iteration. This binary measures that path on the
 //! two extreme graph families — an MPC-like chain (O(1) halo per seam)
 //! and a packing-like all-pairs graph (every variable in the halo) — at
 //! 1/2/4 shards, against `BarrierBackend` at the same thread count, and
@@ -156,10 +156,10 @@ fn main() {
     }
 
     if let Some(trace_path) = &args.trace {
-        use paradmm_core::{run_trace_json, ShardedBackend, SweepExecutor, Trace, UpdateTimings};
+        use paradmm_core::{run_trace_json, BackendSpec, Trace, UpdateTimings};
         use paradmm_graph::VarStore;
         let (label, _, problem) = &problems[0];
-        let mut backend = ShardedBackend::new(4);
+        let mut backend = BackendSpec::Sharded { parts: Some(4) }.to_backend();
         let mut store = VarStore::zeros(problem.graph());
         let mut timings = UpdateTimings::new();
         let mut trace = Trace::new();

@@ -35,7 +35,7 @@ use paradmm_bench::{
     batch_throughput, many_mpc, many_sudoku, parse_out_value, print_table,
     write_bench_json_with_meta_to, BatchThroughput,
 };
-use paradmm_core::{Scheduler, StoppingCriteria};
+use paradmm_core::{BackendSpec, StoppingCriteria};
 
 struct Args {
     smoke: bool,
@@ -81,8 +81,8 @@ fn parse_args() -> Args {
 
 fn main() {
     let args = parse_args();
-    let scheduler = Scheduler::WorkSteal {
-        threads: args.threads,
+    let backend = BackendSpec::WorkSteal {
+        threads: Some(args.threads),
     };
     // Identical stopping for every path: looser-than-default tolerances
     // keep small-instance solves in the hundreds of iterations so the
@@ -112,7 +112,7 @@ fn main() {
                 &|| many_mpc(mpc_n, mpc_h),
                 "many_mpc",
                 mpc_n,
-                scheduler,
+                backend,
                 mpc_stopping,
                 mpc_stopping.max_iters,
             ),
@@ -124,7 +124,7 @@ fn main() {
                 &|| many_sudoku(sudoku_n),
                 "many_sudoku",
                 sudoku_n,
-                scheduler,
+                backend,
                 sudoku_stopping,
                 sudoku_stopping.max_iters,
             ),

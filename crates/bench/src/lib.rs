@@ -21,9 +21,9 @@ use std::io::Write as _;
 use std::time::Instant;
 
 use paradmm_core::{
-    set_kernel_dispatch, AdmmProblem, AutoBackend, BarrierBackend, BatchSolver, FleetSolver,
-    KernelDispatch, Planner, RayonBackend, Scheduler, SerialBackend, ShardedBackend, Solver,
-    SolverOptions, StoppingCriteria, SweepExecutor, SweepPlan, UpdateKind, UpdateTimings,
+    set_kernel_dispatch, AdmmProblem, AutoBackend, BackendSpec, BarrierBackend, BatchSolver,
+    FleetSolver, KernelDispatch, Planner, RayonBackend, SerialBackend, Solver, SolverOptions,
+    StaleBoundedBackend, StoppingCriteria, SweepExecutor, SweepPlan, UpdateKind, UpdateTimings,
     WorkStealingBackend,
 };
 use paradmm_gpusim::{CpuModel, GpuAdmmEngine, MultiDevice, SimtDevice, WorkloadProfile};
@@ -507,6 +507,9 @@ pub struct WorkstealAblation {
     /// [`WorkstealAblation::auto_measured_ratio`], not anything derived
     /// from the probe.)
     pub auto_selected: String,
+    /// Names of the candidates auto's probe measured, in probe order —
+    /// every name [`WorkstealAblation::auto_selected`] can take.
+    pub auto_probed: Vec<String>,
     /// Auto's independently measured steady-state s/iter divided by the
     /// best independently measured candidate s/iter. This is the honest
     /// "auto never costs more than 1.1× the best backend" check: it
@@ -574,6 +577,11 @@ pub fn worksteal_ablation(
         barrier_s: by_name["barrier"],
         worksteal_s: by_name["worksteal"],
         auto_selected: selected.to_string(),
+        auto_probed: auto
+            .probe_report()
+            .iter()
+            .map(|&(name, _)| name.to_string())
+            .collect(),
         auto_measured_ratio: auto_s / best_measured_s,
         best_measured: best_measured_name.to_string(),
     }
@@ -936,7 +944,8 @@ pub struct ShardedAblation {
     pub points: Vec<ShardedPoint>,
 }
 
-/// Measures [`ShardedBackend`] against [`BarrierBackend`] on `problem`
+/// Measures the sharded [`StaleBoundedBackend`] (`k = 0`, the executor
+/// `sharded:N` builds) against [`BarrierBackend`] on `problem`
 /// at every shard count in `shard_counts`, comparing the exchange volume
 /// the sharded run actually moves against the [`MultiDevice`] model's
 /// prediction on the *same* grown partition. Min-of-`REPEATS`
@@ -964,7 +973,7 @@ pub fn sharded_ablation(
         let stats = PartitionStats::compute(g, &partition);
         let predicted = MultiDevice::k40s(parts.max(1)).predicted_exchange_bytes(g, &partition);
 
-        let mut sharded = ShardedBackend::with_partition(partition);
+        let mut sharded = StaleBoundedBackend::with_partition(partition, 0);
         let sharded_s = min_of_repeats(&mut sharded);
         let measured = if sharded.iterations() > 0 {
             sharded.measured_halo_bytes() as f64 / sharded.iterations() as f64
@@ -1078,7 +1087,6 @@ pub fn async_ablation(
     min_seconds: f64,
     stopping: &StoppingCriteria,
 ) -> AsyncAblation {
-    use paradmm_core::StaleBoundedBackend;
     const REPEATS: usize = 3;
     let min_of_repeats = |b: &mut dyn SweepExecutor| {
         (0..REPEATS)
@@ -1091,7 +1099,7 @@ pub fn async_ablation(
     let mut points = Vec::new();
 
     let barrier_s = min_of_repeats(&mut BarrierBackend::new(parts));
-    let sharded_s = min_of_repeats(&mut ShardedBackend::new(parts));
+    let sharded_s = min_of_repeats(&mut StaleBoundedBackend::new(parts, 0));
     rows.push(BenchJsonRow {
         size,
         edges,
@@ -1528,7 +1536,7 @@ pub struct BatchThroughput {
 /// Measures batched vs sequential-solo throughput on one scenario.
 ///
 /// `make` rebuilds the instance set (problems are not cloneable — the
-/// proximal operators are boxed trait objects), `scheduler` names the
+/// proximal operators are boxed trait objects), `backend` names the
 /// backend under test for both the batched path and the solo
 /// same-backend path, and `stopping`/`max_iters` drive every path
 /// identically so the three measurements solve exactly the same
@@ -1540,18 +1548,18 @@ pub fn batch_throughput(
     make: &dyn Fn() -> Vec<AdmmProblem>,
     label: &str,
     size: usize,
-    scheduler: Scheduler,
+    backend: BackendSpec,
     stopping: StoppingCriteria,
     max_iters: usize,
 ) -> BatchThroughput {
     const REPEATS: usize = 3;
     let options = SolverOptions {
-        scheduler,
+        backend,
         stopping,
         ..SolverOptions::default()
     };
     let serial_options = SolverOptions {
-        scheduler: Scheduler::Serial,
+        backend: BackendSpec::Serial,
         stopping,
         ..SolverOptions::default()
     };
@@ -1560,7 +1568,7 @@ pub fn batch_throughput(
     let instances = probe.len();
     assert!(instances > 0, "scenario produced no instances");
     let total_edges: usize = probe.iter().map(|p| p.graph().num_edges()).sum();
-    let backend_name = scheduler.to_backend().name();
+    let backend_name = backend.to_backend().name();
     drop(probe);
 
     let min_wall =
@@ -1713,17 +1721,21 @@ pub fn fleet_ablation(
 ) -> FleetAblation {
     const REPEATS: usize = 3;
     let fleet_options = SolverOptions {
-        scheduler: Scheduler::Fleet { threads },
+        backend: BackendSpec::Fleet {
+            threads: Some(threads),
+        },
         stopping,
         ..SolverOptions::default()
     };
     let ws_options = SolverOptions {
-        scheduler: Scheduler::WorkSteal { threads },
+        backend: BackendSpec::WorkSteal {
+            threads: Some(threads),
+        },
         stopping,
         ..SolverOptions::default()
     };
     let serial_options = SolverOptions {
-        scheduler: Scheduler::Serial,
+        backend: BackendSpec::Serial,
         stopping,
         ..SolverOptions::default()
     };
@@ -1936,10 +1948,10 @@ mod tests {
         assert!(r.rows.iter().all(|x| x.seconds_per_iteration > 0.0));
         assert!(r.barrier_s > 0.0 && r.worksteal_s > 0.0);
         assert!(
-            ["serial", "rayon", "barrier", "worksteal", "sharded"]
-                .contains(&r.auto_selected.as_str()),
-            "auto selected {}",
-            r.auto_selected
+            r.auto_probed.contains(&r.auto_selected),
+            "auto selected {} outside its probe report {:?}",
+            r.auto_selected,
+            r.auto_probed
         );
         // Measured ratio is noise-prone at smoke sizes — only sanity-check
         // it here; the full-size bin run enforces the 1.1× bound.
@@ -2140,7 +2152,7 @@ mod tests {
             &|| many_mpc(6, 3),
             "many_mpc",
             6,
-            Scheduler::WorkSteal { threads: 2 },
+            BackendSpec::WorkSteal { threads: Some(2) },
             stopping,
             400,
         );

@@ -60,8 +60,8 @@ use crate::kernels::UpdateKind;
 use crate::plan::SweepPlan;
 use crate::problem::AdmmProblem;
 use crate::residuals::Residuals;
-use crate::scheduler::Scheduler;
 use crate::solver::{SolverOptions, StopReason};
+use crate::spec::{default_threads, BackendSpec};
 use crate::timing::UpdateTimings;
 
 /// Outcome of one claim attempt on an instance.
@@ -348,9 +348,8 @@ pub(crate) fn run_round(
 /// the others at a synchronization point. Bit-identical to
 /// [`crate::SerialBackend`] (see the module docs).
 ///
-/// Wall time is recorded under [`UpdateKind::X`] (like
-/// [`crate::AsyncBackend`]): workers interleave passes, so per-kind
-/// attribution is not separable.
+/// Wall time is recorded under [`UpdateKind::X`]: workers interleave
+/// passes, so per-kind attribution is not separable.
 #[derive(Debug)]
 pub struct FleetBackend {
     threads: usize,
@@ -482,17 +481,17 @@ pub struct FleetSolver {
 
 impl FleetSolver {
     /// Builds a fleet over `problems` with zero-initialized state. The
-    /// worker count comes from [`Scheduler::Fleet`] when the options
-    /// name it, else from the host's available parallelism.
+    /// worker count comes from [`BackendSpec::Fleet`] when the options
+    /// name it with a count, else from the host's available parallelism.
     ///
     /// # Panics
     /// If `problems` is empty.
     pub fn new(problems: Vec<AdmmProblem>, options: SolverOptions) -> Self {
-        let threads = match options.scheduler {
-            Scheduler::Fleet { threads } => threads,
-            _ => std::thread::available_parallelism()
-                .map(|p| p.get())
-                .unwrap_or(1),
+        let threads = match options.backend {
+            BackendSpec::Fleet {
+                threads: Some(threads),
+            } => threads,
+            _ => default_threads(),
         };
         Self::with_threads(problems, options, threads)
     }
@@ -559,7 +558,7 @@ impl FleetSolver {
     pub fn from_requests(requests: Vec<crate::SolveRequest>) -> Self {
         let (problems, warm, stopping, backend) = crate::request::group_parts(requests);
         let options = SolverOptions {
-            scheduler: backend.to_scheduler(),
+            backend,
             stopping,
             ..SolverOptions::default()
         };

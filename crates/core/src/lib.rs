@@ -26,18 +26,15 @@
 //! * [`BarrierBackend`] — persistent workers with barrier
 //!   synchronization between passes (OpenMP approach #2,
 //!   implemented to reproduce the paper's finding that it is slower),
-//! * [`AsyncBackend`] — bounded-staleness asynchronous execution (the
-//!   paper's future-work item 1; converges rather than matching
-//!   bit-for-bit at `k ≥ 1`),
 //! * [`WorkStealingBackend`] — persistent workers claiming each pass's
 //!   chunks from a shared atomic work index (fixes approach #2's
 //!   static-range straggler problem),
-//! * [`ShardedBackend`] — partition-local stores with one worker per
-//!   shard and a real per-iteration halo exchange (the paper's
-//!   multi-device future-work item 3, executed instead of priced),
-//! * [`StaleBoundedBackend`] — the sharded executor with progress
-//!   watermarks instead of barriers; halo reads may be up to `k`
-//!   iterations stale (`k = 0` stays bit-identical),
+//! * [`StaleBoundedBackend`] — partition-local stores with one worker
+//!   per shard, a real per-iteration halo exchange, and progress
+//!   watermarks instead of barriers (the paper's multi-device
+//!   future-work item 3, executed instead of priced). Halo reads may be
+//!   up to `k` iterations stale: `k = 0` is the bit-identical `sharded`
+//!   executor, `k = 1` the convergent `async` one (future-work item 1),
 //! * [`FleetBackend`] — barrier-free work-assisting workers claiming
 //!   chunks from a per-instance watermarked counter; the same scheduler
 //!   runs whole heterogeneous fleets through [`FleetSolver`],
@@ -47,8 +44,9 @@
 //! * `paradmm-gpusim`'s adapter — the same numerics against a simulated
 //!   SIMT device clock, one kernel launch per pass.
 //!
-//! The legacy [`Scheduler`] enum survives as a thin descriptor that
-//! constructs the built-in backends; new execution strategies implement
+//! [`BackendSpec`] is the one descriptor for the built-in backends: its
+//! text form (`serial`, `sharded:4`, `auto`, …) parses, displays and
+//! builds the executor it names. New execution strategies implement
 //! [`SweepExecutor`] and plug into the same [`Solver`] loop.
 //!
 //! For many *small independent* problems (batched serving), the
@@ -65,7 +63,6 @@
 //! claim.
 
 pub mod adaptive;
-pub mod asynchronous;
 pub mod backend;
 pub mod batch;
 pub mod diagnostics;
@@ -76,8 +73,6 @@ pub mod plan;
 pub mod problem;
 pub mod request;
 pub mod residuals;
-pub mod scheduler;
-pub mod sharded;
 pub mod solver;
 pub mod spec;
 pub mod stale;
@@ -85,9 +80,8 @@ pub mod timing;
 pub mod twa;
 
 pub use adaptive::ResidualBalancing;
-pub use asynchronous::run_async;
 pub use backend::{
-    barriers_per_iteration, AsyncBackend, AutoBackend, BarrierBackend, RayonBackend, SerialBackend,
+    barriers_per_iteration, AutoBackend, BarrierBackend, RayonBackend, SerialBackend,
     SweepExecutor, WorkStealingBackend, DEFAULT_STEAL_CHUNK,
 };
 pub use batch::{BatchReport, BatchSolver, InstanceReport};
@@ -104,10 +98,14 @@ pub use plan::{
 pub use problem::AdmmProblem;
 pub use request::{Priority, SolveOutcome, SolveRequest, SolveRequestParts};
 pub use residuals::{Residuals, StoppingCriteria};
-pub use scheduler::Scheduler;
-pub use sharded::ShardedBackend;
 pub use solver::{Solver, SolverOptions, SolverReport, StopReason};
 pub use spec::{BackendSpec, ParseBackendSpecError, BACKEND_FAMILIES};
 pub use stale::{watermark, StaleBoundedBackend};
 pub use timing::{SweepCosts, UpdateTimings};
 pub use twa::{TwaWeights, WeightClass};
+
+/// Tests of the `sharded[:N]` backend family built through [`BackendSpec`].
+#[cfg(test)]
+mod sharded {
+    mod tests;
+}

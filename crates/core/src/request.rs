@@ -231,7 +231,7 @@ impl SolveRequest {
     pub fn solve(self) -> SolveOutcome {
         let parts = self.into_parts();
         let options = SolverOptions {
-            scheduler: parts.backend.to_scheduler(),
+            backend: parts.backend,
             stopping: parts.stopping,
             ..SolverOptions::default()
         };

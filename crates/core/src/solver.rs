@@ -9,7 +9,7 @@ use crate::backend::SweepExecutor;
 use crate::plan::{ReplanPolicy, ReplanState};
 use crate::problem::AdmmProblem;
 use crate::residuals::{Residuals, StoppingCriteria};
-use crate::scheduler::Scheduler;
+use crate::spec::BackendSpec;
 use crate::timing::UpdateTimings;
 
 /// Solver configuration.
@@ -17,7 +17,7 @@ use crate::timing::UpdateTimings;
 pub struct SolverOptions {
     /// Which built-in backend to construct (ignored by
     /// [`Solver::with_backend`], which receives one directly).
-    pub scheduler: Scheduler,
+    pub backend: BackendSpec,
     /// Uniform penalty weight ρ (ignored by
     /// [`Solver::from_problem`], which takes parameters from the problem).
     pub rho: f64,
@@ -30,7 +30,7 @@ pub struct SolverOptions {
 impl Default for SolverOptions {
     fn default() -> Self {
         SolverOptions {
-            scheduler: Scheduler::Serial,
+            backend: BackendSpec::Serial,
             rho: 1.0,
             alpha: 1.0,
             stopping: StoppingCriteria::default(),
@@ -79,7 +79,7 @@ impl SolverReport {
 /// `paradmm-gpusim`'s engine querying its simulated clock) keep typed
 /// access via [`Solver::backend`]; the default `dyn SweepExecutor` form
 /// is what [`Solver::new`] / [`Solver::from_problem`] build from the
-/// [`SolverOptions::scheduler`] descriptor.
+/// [`SolverOptions::backend`] descriptor.
 pub struct Solver<B: SweepExecutor + ?Sized = dyn SweepExecutor> {
     problem: AdmmProblem,
     store: VarStore,
@@ -91,17 +91,17 @@ pub struct Solver<B: SweepExecutor + ?Sized = dyn SweepExecutor> {
 impl Solver {
     /// Builds a solver from a graph and per-factor operators, with uniform
     /// `ρ/α` taken from `options` and the backend from
-    /// [`SolverOptions::scheduler`].
+    /// [`SolverOptions::backend`].
     pub fn new(graph: FactorGraph, proxes: Vec<Box<dyn ProxOp>>, options: SolverOptions) -> Self {
         let problem = AdmmProblem::new(graph, proxes, options.rho, options.alpha);
         Self::from_problem(problem, options)
     }
 
     /// Builds a solver from a fully-specified problem (custom per-edge
-    /// parameters preserved), backend from [`SolverOptions::scheduler`].
+    /// parameters preserved), backend from [`SolverOptions::backend`].
     pub fn from_problem(problem: AdmmProblem, options: SolverOptions) -> Self {
         let store = VarStore::zeros(problem.graph());
-        let backend = options.scheduler.to_backend();
+        let backend = options.backend.to_backend();
         Solver {
             problem,
             store,
@@ -112,7 +112,7 @@ impl Solver {
     }
 
     /// Builds a solver from a problem and an already-boxed backend.
-    /// [`SolverOptions::scheduler`] is ignored — `backend` is the
+    /// [`SolverOptions::backend`] is ignored — `backend` is the
     /// execution strategy.
     pub fn from_problem_with_backend(
         problem: AdmmProblem,
@@ -131,9 +131,9 @@ impl Solver {
 
     /// Replaces the backend by descriptor (e.g. to compare strategies on
     /// one state).
-    pub fn set_scheduler(&mut self, scheduler: Scheduler) {
-        self.options.scheduler = scheduler;
-        self.backend = scheduler.to_backend();
+    pub fn set_backend_spec(&mut self, spec: BackendSpec) {
+        self.options.backend = spec;
+        self.backend = spec.to_backend();
     }
 
     /// Replaces the backend with any [`SweepExecutor`] implementation.
@@ -480,7 +480,7 @@ mod tests {
         let mut solver = Solver::new(g, p, SolverOptions::default());
         solver.run(10);
         let z_mid = solver.store().z[0];
-        solver.set_scheduler(Scheduler::Rayon { threads: Some(2) });
+        solver.set_backend_spec(BackendSpec::Rayon { threads: Some(2) });
         solver.run(10);
         // State continued from z_mid, not reset.
         assert_ne!(solver.store().z[0], 0.0);
@@ -515,10 +515,10 @@ mod tests {
 
     #[test]
     fn all_synchronous_backends_agree_through_solver() {
-        let run_with = |scheduler: Scheduler| {
+        let run_with = |backend: &str| {
             let (g, p) = two_quadratics();
             let opts = SolverOptions {
-                scheduler,
+                backend: backend.parse().unwrap(),
                 stopping: StoppingCriteria::fixed_iterations(40),
                 ..SolverOptions::default()
             };
@@ -526,13 +526,17 @@ mod tests {
             solver.run(40);
             solver.store().z.clone()
         };
-        let serial = run_with(Scheduler::Serial);
-        assert_eq!(serial, run_with(Scheduler::Rayon { threads: Some(2) }));
-        assert_eq!(serial, run_with(Scheduler::Barrier { threads: 2 }));
-        assert_eq!(serial, run_with(Scheduler::WorkSteal { threads: 2 }));
-        assert_eq!(serial, run_with(Scheduler::Sharded { parts: 2 }));
-        assert_eq!(serial, run_with(Scheduler::Fleet { threads: 2 }));
-        assert_eq!(serial, run_with(Scheduler::Auto { threads: 2 }));
+        let serial = run_with("serial");
+        for backend in [
+            "rayon:2",
+            "barrier:2",
+            "worksteal:2",
+            "sharded:2",
+            "fleet:2",
+            "auto:2",
+        ] {
+            assert_eq!(serial, run_with(backend), "{backend}");
+        }
     }
 
     #[test]
@@ -540,11 +544,14 @@ mod tests {
         // Residuals are computed from the global store between blocks;
         // the sharded backend's scatter/gather must keep that store (and
         // z_prev, which the dual residual reads) exact.
-        use crate::sharded::ShardedBackend;
+        use crate::stale::StaleBoundedBackend;
         let (g, p) = two_quadratics();
         let problem = AdmmProblem::new(g, p, 1.0, 1.0);
-        let mut solver =
-            Solver::with_backend(problem, SolverOptions::default(), ShardedBackend::new(2));
+        let mut solver = Solver::with_backend(
+            problem,
+            SolverOptions::default(),
+            StaleBoundedBackend::new(2, 0),
+        );
         let report = solver.run(1000);
         assert_eq!(report.stop_reason, StopReason::Converged);
         assert!(report.final_residuals.is_some());
@@ -575,17 +582,11 @@ mod tests {
         let report = solver.run(500);
         assert_eq!(report.stop_reason, StopReason::Converged);
         let selected = solver.backend().selected().expect("probe ran");
-        assert!([
-            "serial",
-            "rayon",
-            "barrier",
-            "worksteal",
-            "sharded",
-            "fleet",
-            "stale"
-        ]
-        .contains(&selected));
-        assert!(!solver.backend().probe_report().is_empty());
+        assert!(solver
+            .backend()
+            .probe_report()
+            .iter()
+            .any(|&(name, _)| name == selected));
     }
 
     #[test]

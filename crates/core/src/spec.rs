@@ -1,12 +1,10 @@
-//! Parseable backend descriptor: the string form of the execution
-//! strategy.
+//! Parseable backend descriptor: the one way to name an execution
+//! strategy, in process ([`crate::SolverOptions::backend`]), on the
+//! command line and on the wire.
 //!
-//! The legacy [`Scheduler`] enum is a fine in-process descriptor but has
-//! no canonical text form, so every binary that took a `--backend` flag
-//! grew its own ad-hoc `match` over strings (and `compare.rs` grew a
-//! special case to strip `auto:<pick>` suffixes out of bench labels).
-//! [`BackendSpec`] replaces all of that with one `FromStr`/`Display`
-//! roundtrip:
+//! [`BackendSpec`] has one `FromStr`/`Display` roundtrip and one
+//! [`BackendSpec::to_backend`] `match` that builds the executor it
+//! names:
 //!
 //! ```text
 //! serial | rayon[:N] | barrier[:N] | async[:N] | worksteal[:N]
@@ -19,24 +17,31 @@
 //! `auto:<backend-name>` (an [`crate::AutoBackend`] that recorded its
 //! pick) also parses, canonicalizing to plain `auto` — that is the
 //! special case this type absorbs from `compare.rs`.
+//!
+//! `sharded` and `async` name one executor, [`StaleBoundedBackend`], at
+//! staleness bound `k = 0` (bit-identical to serial) and `k = 1`
+//! (convergent); every built executor's [`SweepExecutor::name`] is the
+//! family that builds it.
 
 use std::fmt;
 use std::str::FromStr;
 
-use crate::backend::SweepExecutor;
-use crate::scheduler::Scheduler;
+use crate::backend::{
+    AutoBackend, BarrierBackend, RayonBackend, SerialBackend, SweepExecutor, WorkStealingBackend,
+};
+use crate::fleet::FleetBackend;
+use crate::stale::StaleBoundedBackend;
 
 /// Worker-count used when a spec omits `:N` and the backend needs a
 /// concrete count.
-fn default_threads() -> usize {
+pub(crate) fn default_threads() -> usize {
     std::thread::available_parallelism()
         .map(|p| p.get())
         .unwrap_or(2)
 }
 
-/// Parseable descriptor of the built-in execution backends — the
-/// [`Scheduler`] family with a stable text form. See the module docs
-/// for the grammar.
+/// Parseable descriptor of the built-in execution backends. See the
+/// module docs for the grammar.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum BackendSpec {
     /// [`crate::SerialBackend`].
@@ -52,7 +57,8 @@ pub enum BackendSpec {
         /// Worker count, `None` = available parallelism.
         threads: Option<usize>,
     },
-    /// [`crate::AsyncBackend`] (convergent, not bit-identical).
+    /// [`StaleBoundedBackend`] at staleness `k = 1` (convergent, not
+    /// bit-identical).
     Async {
         /// Worker count, `None` = available parallelism.
         threads: Option<usize>,
@@ -62,7 +68,8 @@ pub enum BackendSpec {
         /// Worker count, `None` = available parallelism.
         threads: Option<usize>,
     },
-    /// [`crate::ShardedBackend`].
+    /// [`StaleBoundedBackend`] at staleness `k = 0` (bit-identical to
+    /// serial).
     Sharded {
         /// Shard count, `None` = available parallelism.
         parts: Option<usize>,
@@ -121,60 +128,22 @@ impl BackendSpec {
         }
     }
 
-    /// Resolves the spec to the legacy [`Scheduler`] descriptor,
-    /// substituting the host's available parallelism for an omitted
-    /// count (except `rayon`, whose `None` means the global pool).
-    pub fn to_scheduler(&self) -> Scheduler {
+    /// Constructs the backend this spec names, substituting the host's
+    /// available parallelism for an omitted count (except `rayon`,
+    /// whose `None` means the global pool).
+    pub fn to_backend(&self) -> Box<dyn SweepExecutor> {
         let n = |t: Option<usize>| t.unwrap_or_else(default_threads);
         match *self {
-            BackendSpec::Serial => Scheduler::Serial,
-            BackendSpec::Rayon { threads } => Scheduler::Rayon { threads },
-            BackendSpec::Barrier { threads } => Scheduler::Barrier {
-                threads: n(threads),
-            },
-            BackendSpec::Async { threads } => Scheduler::Async {
-                threads: n(threads),
-            },
-            BackendSpec::WorkSteal { threads } => Scheduler::WorkSteal {
-                threads: n(threads),
-            },
-            BackendSpec::Sharded { parts } => Scheduler::Sharded { parts: n(parts) },
-            BackendSpec::Fleet { threads } => Scheduler::Fleet {
-                threads: n(threads),
-            },
-            BackendSpec::Auto { threads } => Scheduler::Auto {
-                threads: n(threads),
-            },
-        }
-    }
-
-    /// Constructs the backend this spec names.
-    pub fn to_backend(&self) -> Box<dyn SweepExecutor> {
-        self.to_scheduler().to_backend()
-    }
-}
-
-impl From<Scheduler> for BackendSpec {
-    fn from(s: Scheduler) -> Self {
-        match s {
-            Scheduler::Serial => BackendSpec::Serial,
-            Scheduler::Rayon { threads } => BackendSpec::Rayon { threads },
-            Scheduler::Barrier { threads } => BackendSpec::Barrier {
-                threads: Some(threads),
-            },
-            Scheduler::Async { threads } => BackendSpec::Async {
-                threads: Some(threads),
-            },
-            Scheduler::WorkSteal { threads } => BackendSpec::WorkSteal {
-                threads: Some(threads),
-            },
-            Scheduler::Sharded { parts } => BackendSpec::Sharded { parts: Some(parts) },
-            Scheduler::Fleet { threads } => BackendSpec::Fleet {
-                threads: Some(threads),
-            },
-            Scheduler::Auto { threads } => BackendSpec::Auto {
-                threads: Some(threads),
-            },
+            BackendSpec::Serial => Box::new(SerialBackend),
+            BackendSpec::Rayon { threads } => Box::new(RayonBackend::new(threads)),
+            BackendSpec::Barrier { threads } => Box::new(BarrierBackend::new(n(threads))),
+            // One iteration of drift buys zero phase-waits while staying
+            // close to the synchronous trajectory.
+            BackendSpec::Async { threads } => Box::new(StaleBoundedBackend::new(n(threads), 1)),
+            BackendSpec::WorkSteal { threads } => Box::new(WorkStealingBackend::new(n(threads))),
+            BackendSpec::Sharded { parts } => Box::new(StaleBoundedBackend::new(n(parts), 0)),
+            BackendSpec::Fleet { threads } => Box::new(FleetBackend::new(n(threads))),
+            BackendSpec::Auto { threads } => Box::new(AutoBackend::new(n(threads))),
         }
     }
 }
@@ -254,7 +223,9 @@ mod tests {
             BackendSpec::Rayon { threads: Some(4) },
             BackendSpec::Barrier { threads: Some(2) },
             BackendSpec::Async { threads: None },
+            BackendSpec::Async { threads: Some(2) },
             BackendSpec::WorkSteal { threads: Some(8) },
+            BackendSpec::Sharded { parts: None },
             BackendSpec::Sharded { parts: Some(3) },
             BackendSpec::Fleet { threads: None },
             BackendSpec::Auto { threads: Some(2) },
@@ -284,6 +255,25 @@ mod tests {
                 "{label}"
             );
         }
+        // Every pick a default AutoBackend can record parses back.
+        let mut b = paradmm_graph::GraphBuilder::new(1);
+        let v = b.add_var();
+        b.add_factor(&[v]);
+        let prox: Box<dyn paradmm_prox::ProxOp> =
+            Box::new(paradmm_prox::QuadraticProx::isotropic(1, 2.0, &[1.0]));
+        let problem = crate::AdmmProblem::new(b.build(), vec![prox], 1.0, 1.0);
+        let mut store = paradmm_graph::VarStore::zeros(problem.graph());
+        let mut auto = AutoBackend::new(2);
+        auto.run_block(&problem, &mut store, 1, &mut crate::UpdateTimings::new());
+        assert_eq!(auto.probe_report().len(), 6);
+        for &(name, _) in auto.probe_report() {
+            let label = format!("auto:{name}");
+            assert_eq!(
+                label.parse::<BackendSpec>(),
+                Ok(BackendSpec::Auto { threads: None }),
+                "{label}"
+            );
+        }
     }
 
     #[test]
@@ -306,13 +296,14 @@ mod tests {
     #[test]
     fn resolves_to_matching_scheduler_and_backend() {
         assert_eq!(
-            "worksteal:3".parse::<BackendSpec>().unwrap().to_scheduler(),
-            Scheduler::WorkSteal { threads: 3 }
+            "worksteal:3".parse::<BackendSpec>().unwrap(),
+            BackendSpec::WorkSteal { threads: Some(3) }
         );
         assert_eq!(
-            "rayon".parse::<BackendSpec>().unwrap().to_scheduler(),
-            Scheduler::Rayon { threads: None }
+            "rayon".parse::<BackendSpec>().unwrap(),
+            BackendSpec::Rayon { threads: None }
         );
+        assert_eq!("sharded:4".parse::<BackendSpec>().unwrap().count(), Some(4));
         for family in BACKEND_FAMILIES {
             let spec: BackendSpec = family.parse().unwrap();
             assert_eq!(spec.to_backend().name(), family);
@@ -320,19 +311,14 @@ mod tests {
     }
 
     #[test]
-    fn scheduler_conversion_roundtrips_family() {
-        for scheduler in [
-            Scheduler::Serial,
-            Scheduler::Rayon { threads: Some(2) },
-            Scheduler::Barrier { threads: 2 },
-            Scheduler::Async { threads: 2 },
-            Scheduler::WorkSteal { threads: 2 },
-            Scheduler::Sharded { parts: 2 },
-            Scheduler::Fleet { threads: 2 },
-            Scheduler::Auto { threads: 2 },
-        ] {
-            let spec = BackendSpec::from(scheduler);
-            assert_eq!(spec.to_scheduler(), scheduler);
+    fn descriptor_names_match_backends() {
+        for family in BACKEND_FAMILIES {
+            let bare: BackendSpec = family.parse().unwrap();
+            assert_eq!(bare.to_backend().name(), family);
+            if bare != BackendSpec::Serial {
+                let counted: BackendSpec = format!("{family}:3").parse().unwrap();
+                assert_eq!(counted.to_backend().name(), family);
+            }
         }
     }
 }

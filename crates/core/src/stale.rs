@@ -1,11 +1,22 @@
-//! Bounded-staleness sharded execution: per-shard workers with progress
-//! watermarks instead of global barriers (the paper's future-work item 1
-//! executed on the PR 3 sharded machinery).
+//! Sharded execution: one persistent worker per partition part, a real
+//! halo exchange per iteration, and progress watermarks instead of
+//! global barriers.
 //!
-//! [`ShardedBackend`](crate::ShardedBackend) runs one worker per
-//! partition part with two `Barrier::wait` rendezvous per iteration —
-//! every shard stalls until the slowest shard finishes each phase.
-//! [`StaleBoundedBackend`] removes the barriers: each shard publishes a
+//! The paper's future-work item 3 ("extend the code to allow the use of
+//! multiple GPUs and multiple computers") exists as a pricing model in
+//! `paradmm-gpusim`'s `MultiDevice`; [`StaleBoundedBackend`] executes
+//! it. A [`Partition`] is decomposed into a [`ShardedStore`] —
+//! per-shard edge-contiguous local stores with local renumbering — and
+//! each shard runs the sweeps on its own arrays with exactly one
+//! cross-shard coupling point: the consensus `z` of *halo* variables
+//! (those touched by more than one shard). The backend counts the bytes
+//! its exchange actually moves
+//! ([`StaleBoundedBackend::measured_halo_bytes`]); `MultiDevice` predicts
+//! the same quantity from the same [`paradmm_graph::HaloExchangePlan`],
+//! making model-vs-measured drift a testable number (see
+//! `ablation_sharded`).
+//!
+//! No shard waits at a global barrier. Each shard publishes a
 //! per-iteration progress **watermark** (a single release-stored
 //! `AtomicU64` using the same ABA-free `(iter << 32) | phase` encoding as
 //! `fleet.rs`), and cross-shard reads are allowed to consume neighbor
@@ -48,15 +59,15 @@
 //! # `k = 0` is the correctness anchor
 //!
 //! With `k = 0` every wait degenerates to "neighbor reached iteration
-//! `t`", every versioned read selects version `t`, and the arithmetic is
-//! exactly [`ShardedBackend`](crate::ShardedBackend)'s — same per-shard
-//! kernels, same global-edge-order halo fold — so iterates are
-//! **bit-identical** to the synchronous sharded (and hence serial)
-//! schedule; `tests/staleness_equivalence.rs` pins this on all four
-//! problem families. Only the *scheduling* differs (watermark waits
-//! instead of barriers; reduces run on the owner instead of an
-//! `assign_range` tile — a thread-assignment change that cannot alter
-//! values).
+//! `t`" and every versioned read selects version `t`. The owner folds
+//! staged messages in ascending **global** edge order, replaying the
+//! serial z-update's exact floating-point fold (per-shard partial sums
+//! would re-associate it), so iterates are **bit-identical** to
+//! [`SerialBackend`](crate::SerialBackend) for any partition and any
+//! legal plan; `tests/staleness_equivalence.rs` and
+//! `tests/backend_equivalence.rs` pin this on all four problem
+//! families. [`crate::BackendSpec`] builds this configuration as
+//! `sharded[:N]`, and the `k = 1` one as `async[:N]`.
 //!
 //! # Staleness-aware residuals
 //!
@@ -156,12 +167,15 @@ fn wait_floor(w: &AtomicU64, floor: u64) -> u64 {
 }
 
 /// Cached decomposition + ownership precompute for the last problem this
-/// backend executed. The fingerprint mirrors `ShardedBackend`'s: a
-/// same-shaped but differently wired or weighted problem must rebuild.
+/// backend executed.
 struct StaleState {
     store: ShardedStore,
     partition: Partition,
+    /// Fingerprints for rebuild detection: a same-shaped but differently
+    /// wired or weighted problem must not reuse stale shards.
     dims: usize,
+    /// Variable count is fingerprinted explicitly — isolated variables
+    /// appear in no edge target, so `edge_targets` alone can't see them.
     num_vars: usize,
     edge_targets: Vec<u32>,
     factor_starts: Vec<u32>,
@@ -245,11 +259,11 @@ impl StaleState {
 
 /// Barrier-free sharded execution with a bounded staleness window.
 ///
-/// `k = 0` is bit-identical to [`ShardedBackend`](crate::ShardedBackend)
-/// (and hence to [`SerialBackend`](crate::SerialBackend)); `k ≥ 1`
-/// trades halo freshness for zero phase-wait — iterates then differ from
-/// the synchronous schedule but converge to the same fixed point on
-/// convex problems. See the module docs for the watermark protocol.
+/// `k = 0` is bit-identical to [`SerialBackend`](crate::SerialBackend);
+/// `k ≥ 1` trades halo freshness for zero phase-wait — iterates then
+/// differ from the synchronous schedule but converge to the same fixed
+/// point on convex problems. See the module docs for the watermark
+/// protocol.
 pub struct StaleBoundedBackend {
     parts: usize,
     staleness: usize,
@@ -257,6 +271,7 @@ pub struct StaleBoundedBackend {
     state: Option<StaleState>,
     iterations: usize,
     max_observed_skew: usize,
+    measured_halo_bytes: u64,
 }
 
 impl StaleBoundedBackend {
@@ -275,6 +290,7 @@ impl StaleBoundedBackend {
             state: None,
             iterations: 0,
             max_observed_skew: 0,
+            measured_halo_bytes: 0,
         }
     }
 
@@ -291,6 +307,7 @@ impl StaleBoundedBackend {
             state: None,
             iterations: 0,
             max_observed_skew: 0,
+            measured_halo_bytes: 0,
         }
     }
 
@@ -312,6 +329,20 @@ impl StaleBoundedBackend {
     /// Iterations executed so far.
     pub fn iterations(&self) -> usize {
         self.iterations
+    }
+
+    /// Exchange bytes one iteration moves, once built — derived from the
+    /// same [`paradmm_graph::HaloExchangePlan`] the pricing model reads.
+    pub fn halo_bytes_per_iteration(&self) -> Option<usize> {
+        self.state
+            .as_ref()
+            .map(|s| s.store.halo_bytes_per_iteration())
+    }
+
+    /// Total bytes the halo exchange has actually moved so far (counted
+    /// in the execute loop, not derived from the plan).
+    pub fn measured_halo_bytes(&self) -> u64 {
+        self.measured_halo_bytes
     }
 
     /// The largest `t − version` any cross-shard read actually consumed
@@ -342,8 +373,13 @@ impl StaleBoundedBackend {
 }
 
 impl SweepExecutor for StaleBoundedBackend {
+    /// The [`crate::BackendSpec`] family that builds this configuration.
     fn name(&self) -> &'static str {
-        "stale"
+        if self.staleness == 0 {
+            "sharded"
+        } else {
+            "async"
+        }
     }
 
     fn execute(
@@ -359,9 +395,10 @@ impl SweepExecutor for StaleBoundedBackend {
         self.ensure_state(problem);
         let state = self.state.as_mut().expect("ensure_state builds the shards");
         state.store.scatter(store);
-        let skew = run_stale(problem, state, iters, self.staleness, t);
+        let (skew, bytes) = run_stale(problem, state, iters, self.staleness, t);
         state.store.gather(store);
         self.max_observed_skew = self.max_observed_skew.max(skew);
+        self.measured_halo_bytes += bytes;
         self.iterations += iters;
     }
 
@@ -472,14 +509,16 @@ impl RawStale {
 }
 
 /// Runs `iters` bounded-staleness iterations over the decomposed state;
-/// returns the largest staleness any cross-shard read actually consumed.
+/// returns the largest staleness any cross-shard read actually consumed
+/// and the bytes the halo exchange moved (counted per staged message and
+/// per broadcast replica).
 fn run_stale(
     problem: &AdmmProblem,
     state: &mut StaleState,
     iters: usize,
     staleness: usize,
     t: &mut UpdateTimings,
-) -> usize {
+) -> (usize, u64) {
     assert!(
         iters <= u32::MAX as usize,
         "block too large for the 32-bit watermark iteration field"
@@ -501,7 +540,7 @@ fn run_stale(
     let reduce_deps = &state.reduce_deps;
     let bcast_deps = &state.bcast_deps;
 
-    let (shards, _halo_z, reduce) = state.store.exec_parts_mut();
+    let (shards, reduce) = state.store.exec_parts_mut();
     let mut stage_bufs: Vec<Vec<f64>> = shards
         .iter()
         .map(|sh| vec![0.0f64; slots * sh.stage_edges.len() * d])
@@ -523,6 +562,7 @@ fn run_stale(
     let marks: Vec<Watermark> = (0..parts).map(|_| Watermark(AtomicU64::new(0))).collect();
     let max_skew = AtomicUsize::new(0);
     let mut collected = UpdateTimings::new();
+    let mut total_bytes = 0u64;
 
     std::thread::scope(|scope| {
         let mut handles = Vec::new();
@@ -532,6 +572,7 @@ fn run_stale(
             let max_skew = &max_skew;
             handles.push(scope.spawn(move || {
                 let mut local = UpdateTimings::new();
+                let mut bytes = 0u64;
                 // SAFETY: worker `tid` exclusively owns shard `tid` for
                 // the whole run; cross-shard data flows only through the
                 // versioned buffers under the watermark protocol.
@@ -624,6 +665,7 @@ fn run_stale(
                                 stage[slot_i * d + c] = rho * shard.store.m[lo + c];
                             }
                         }
+                        bytes += 8 * stage.len() as u64;
                     }
                     my_mark.store(
                         watermark::encode(it, watermark::PHASE_STAGED),
@@ -698,6 +740,7 @@ fn run_stale(
                             let lo = lv as usize * d;
                             shard.store.z[lo..lo + d].copy_from_slice(src);
                         }
+                        bytes += 8 * (shard.halo_in.len() * d) as u64;
                         let t3 = Instant::now();
                         let t4 = if un_fused {
                             kernels::un_update_range(
@@ -749,24 +792,24 @@ fn run_stale(
                     );
                 }
                 max_skew.fetch_max(skew, Ordering::Relaxed);
-                local
+                (local, bytes)
             }));
         }
         for h in handles {
-            let local = h.join().expect("stale worker panicked");
+            let (local, bytes) = h.join().expect("stale worker panicked");
             collected.merge(&local);
+            total_bytes += bytes;
         }
     });
     collected.iterations = 0; // accounted centrally by run_block
     t.merge(&collected);
-    max_skew.load(Ordering::Relaxed)
+    (max_skew.load(Ordering::Relaxed), total_bytes)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::backend::SerialBackend;
-    use crate::sharded::ShardedBackend;
     use paradmm_graph::GraphBuilder;
     use paradmm_prox::{ProxOp, QuadraticProx};
 
@@ -985,19 +1028,111 @@ mod tests {
 
     #[test]
     fn name_is_stable() {
-        assert_eq!(StaleBoundedBackend::new(2, 1).name(), "stale");
+        assert_eq!(StaleBoundedBackend::new(2, 0).name(), "sharded");
+        assert_eq!(StaleBoundedBackend::new(2, 1).name(), "async");
+        assert_eq!(StaleBoundedBackend::new(2, 4).name(), "async");
     }
 
     #[test]
-    fn matches_sharded_backend_exactly_at_k0() {
-        // The headline contract, backend-to-backend (not just via
-        // serial): same partition, same iterates, bit for bit.
+    fn more_shards_than_halo_vars() {
+        // 4 shards on a short chain: fewer halo variables than workers,
+        // so some shards own no halo variable and skip the reduce.
+        let problem = chain_problem(8);
+        let serial = run(&problem, &mut SerialBackend, 25);
+        let mut sb = StaleBoundedBackend::new(4, 0);
+        let got = run(&problem, &mut sb, 25);
+        let halo = sb
+            .partition()
+            .map(|p| p.halo_vars(problem.graph()).len())
+            .unwrap();
+        assert!(halo < 4, "test needs fewer halo vars than shards");
+        assert_eq!(serial.z, got.z);
+        assert_eq!(serial.u, got.u);
+    }
+
+    #[test]
+    fn measured_bytes_match_plan() {
+        let problem = chain_problem(40);
+        for k in [0usize, 1] {
+            let mut sb = StaleBoundedBackend::new(4, k);
+            let mut store = VarStore::zeros(problem.graph());
+            let mut t = UpdateTimings::new();
+            sb.run_block(&problem, &mut store, 17, &mut t);
+            let per_iter = sb.halo_bytes_per_iteration().unwrap();
+            assert!(per_iter > 0, "a 4-way chain split has a halo");
+            assert_eq!(sb.measured_halo_bytes(), 17 * per_iter as u64, "k={k}");
+            assert_eq!(sb.iterations(), 17);
+        }
+    }
+
+    #[test]
+    fn single_shard_moves_no_bytes() {
+        let problem = chain_problem(10);
+        let mut sb = StaleBoundedBackend::new(1, 0);
+        let mut store = VarStore::zeros(problem.graph());
+        let mut t = UpdateTimings::new();
+        sb.run_block(&problem, &mut store, 5, &mut t);
+        assert_eq!(sb.measured_halo_bytes(), 0);
+        assert_eq!(sb.halo_bytes_per_iteration(), Some(0));
+    }
+
+    #[test]
+    fn rebuilds_when_problem_changes() {
+        let a = chain_problem(10);
+        let b = chain_problem(16);
+        let mut sb = StaleBoundedBackend::new(2, 0);
+        let got_a = run(&a, &mut sb, 20);
+        let serial_a = run(&a, &mut SerialBackend, 20);
+        assert_eq!(got_a.z, serial_a.z);
+        // Different problem through the same backend: must rebuild, not
+        // assert or corrupt.
+        let got_b = run(&b, &mut sb, 20);
+        let serial_b = run(&b, &mut SerialBackend, 20);
+        assert_eq!(got_b.z, serial_b.z);
+    }
+
+    #[test]
+    fn rebuilds_when_isolated_vars_are_added() {
+        // Same factors, edges and params — but one extra degree-0
+        // variable. Isolated variables appear in no edge target, so the
+        // fingerprint must check the variable count explicitly; a stale
+        // decomposition would trip scatter's shape assert instead of
+        // rebuilding.
+        let build = |extra_isolated: bool| {
+            let mut b = GraphBuilder::new(2);
+            let vs = b.add_vars(4);
+            if extra_isolated {
+                let _lonely = b.add_var();
+            }
+            let proxes: Vec<Box<dyn ProxOp>> = (0..3)
+                .map(|i| {
+                    Box::new(QuadraticProx::isotropic(4, 1.0, &[i as f64; 4])) as Box<dyn ProxOp>
+                })
+                .collect();
+            for i in 0..3 {
+                b.add_factor(&[vs[i], vs[i + 1]]);
+            }
+            AdmmProblem::new(b.build(), proxes, 1.0, 1.0)
+        };
+        let a = build(false);
+        let b = build(true);
+        let mut sb = StaleBoundedBackend::new(2, 0);
+        let _ = run(&a, &mut sb, 10);
+        let got = run(&b, &mut sb, 10);
+        let serial = run(&b, &mut SerialBackend, 10);
+        assert_eq!(got.z, serial.z);
+        assert_eq!(got.z_prev, serial.z_prev, "orphan z_prev snapshot");
+    }
+
+    #[test]
+    fn k0_matches_serial_on_grown_dense_partition() {
+        // The headline contract on a graph where every variable is halo:
+        // grown partition, same iterates as serial, bit for bit.
         let problem = dense_problem(8);
+        let a = run(&problem, &mut SerialBackend, 35);
         for parts in [2usize, 3] {
             let partition = Partition::grow(problem.graph(), parts);
-            let mut sharded = ShardedBackend::with_partition(partition.clone());
             let mut stale = StaleBoundedBackend::with_partition(partition, 0);
-            let a = run(&problem, &mut sharded, 35);
             let b = run(&problem, &mut stale, 35);
             assert_eq!(a.z, b.z, "parts={parts}");
             assert_eq!(a.x, b.x, "parts={parts}");

@@ -7,9 +7,9 @@
 //! incident edge and the combined `z` broadcast back to every replica.
 //! The exchange volume is computed from the **same**
 //! [`HaloExchangePlan`] the real sharded execution backend
-//! (`paradmm_core::ShardedBackend`) walks, so model-predicted bytes and
-//! executed bytes are directly comparable (the `ablation_sharded` bench
-//! asserts they agree). The model exposes the paper's implicit
+//! (`paradmm_core::StaleBoundedBackend`, built by `sharded:N`) walks,
+//! so model-predicted bytes and executed bytes are directly comparable
+//! (the `ablation_sharded` bench asserts they agree). The model exposes the paper's implicit
 //! intuition: chain graphs (MPC) split almost freely, while dense graphs
 //! (packing's all-pairs collisions) put every variable in the halo and
 //! gain little.

@@ -169,9 +169,6 @@ pub struct Shard {
     /// Local edges incident to halo variables, ascending — the edges
     /// whose `ρ·m` messages this shard stages each iteration.
     pub stage_edges: Vec<u32>,
-    /// Staging buffer for the gather: `stage_edges.len() · dims` doubles
-    /// of `ρ·(x+u)`, one slot per staged edge.
-    pub stage: Vec<f64>,
     /// Local ADMM state.
     pub store: VarStore,
 }
@@ -194,9 +191,6 @@ pub struct ShardedStore {
     pub plan: HaloExchangePlan,
     /// Per-halo-variable reduction recipes, parallel to `plan.vars`.
     pub reduce: Vec<HaloReduceTask>,
-    /// Combined halo `z`, `halo_var_count · dims` doubles — written by
-    /// the reduce phase, read by the broadcast phase.
-    pub halo_z: Vec<f64>,
     /// Degree-0 global variables, owned by no shard; `gather` re-applies
     /// the serial `z_prev ← z` snapshot to them.
     orphan_vars: Vec<VarId>,
@@ -299,7 +293,6 @@ impl ShardedStore {
                     stage_edges.push(le as u32);
                 }
             }
-            let stage = vec![0.0; stage_edges.len() * d];
 
             let mut interior_vars = Vec::new();
             let mut halo_in = Vec::new();
@@ -325,7 +318,6 @@ impl ShardedStore {
                 interior_vars,
                 halo_in,
                 stage_edges,
-                stage,
                 store,
             });
             stage_slots.push(slots);
@@ -348,7 +340,6 @@ impl ShardedStore {
 
         let orphan_vars = graph.vars().filter(|&b| graph.var_degree(b) == 0).collect();
 
-        let halo_z = vec![0.0; plan.vars.len() * d];
         ShardedStore {
             dims: d,
             num_global_vars: nv,
@@ -356,7 +347,6 @@ impl ShardedStore {
             shards,
             plan,
             reduce,
-            halo_z,
             orphan_vars,
         }
     }
@@ -449,10 +439,9 @@ impl ShardedStore {
     }
 
     /// Splits the store into the pieces a worker-per-shard executor
-    /// needs simultaneously: the shards, the combined-z buffer, and the
-    /// reduce recipes.
-    pub fn exec_parts_mut(&mut self) -> (&mut [Shard], &mut [f64], &[HaloReduceTask]) {
-        (&mut self.shards, &mut self.halo_z, &self.reduce)
+    /// needs simultaneously: the shards and the reduce recipes.
+    pub fn exec_parts_mut(&mut self) -> (&mut [Shard], &[HaloReduceTask]) {
+        (&mut self.shards, &self.reduce)
     }
 }
 
@@ -615,7 +604,7 @@ mod tests {
         let (s, _) = sharded(&g, 1);
         assert_eq!(s.plan.halo_var_count(), 0);
         assert_eq!(s.halo_bytes_per_iteration(), 0);
-        assert!(s.shards[0].stage.is_empty());
+        assert!(s.shards[0].stage_edges.is_empty());
         assert_eq!(
             s.shards[0].interior_vars.len(),
             g.num_vars(),

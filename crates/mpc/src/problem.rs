@@ -1,7 +1,7 @@
 //! Factor-graph construction for MPC (paper Figure 9).
 
 use paradmm_core::{
-    AdmmProblem, ProxOp, Scheduler, Solver, SolverOptions, StoppingCriteria, SweepExecutor,
+    AdmmProblem, BackendSpec, ProxOp, Solver, SolverOptions, StoppingCriteria, SweepExecutor,
 };
 use paradmm_graph::{GraphBuilder, VarId, VarStore};
 use paradmm_linalg::Matrix;
@@ -216,9 +216,9 @@ impl MpcProblem {
         config: MpcConfig,
         sys: LinearSystem,
         iters: usize,
-        scheduler: Scheduler,
+        backend: BackendSpec,
     ) -> (Trajectory, MpcProblem) {
-        Self::solve_with_backend(config, sys, iters, scheduler.to_backend())
+        Self::solve_with_backend(config, sys, iters, backend.to_backend())
     }
 
     /// Build and solve for `iters` iterations on any [`SweepExecutor`]
@@ -231,7 +231,7 @@ impl MpcProblem {
     ) -> (Trajectory, MpcProblem) {
         let (mpc, admm) = MpcProblem::build(config, sys);
         let options = SolverOptions {
-            scheduler: Scheduler::Serial, // ignored by from_problem_with_backend
+            backend: BackendSpec::Serial, // ignored by from_problem_with_backend
             rho: mpc.config.rho,
             alpha: mpc.config.alpha,
             stopping: StoppingCriteria {
@@ -280,7 +280,7 @@ mod tests {
         let k = 8;
         let config = MpcConfig::new(k);
         let exact = solve_exact(&config, &paper_plant());
-        let (traj, _) = MpcProblem::solve(config, paper_plant(), 20_000, Scheduler::Serial);
+        let (traj, _) = MpcProblem::solve(config, paper_plant(), 20_000, BackendSpec::Serial);
         for t in 0..=k {
             for i in 0..4 {
                 let a = traj.states[t][i];
@@ -298,7 +298,7 @@ mod tests {
     #[test]
     fn solution_respects_initial_state_and_dynamics() {
         let config = MpcConfig::new(20);
-        let (traj, mpc) = MpcProblem::solve(config, paper_plant(), 20_000, Scheduler::Serial);
+        let (traj, mpc) = MpcProblem::solve(config, paper_plant(), 20_000, BackendSpec::Serial);
         for i in 0..4 {
             assert!(
                 (traj.states[0][i] - mpc.config().q0[i]).abs() < 1e-3,
@@ -318,7 +318,7 @@ mod tests {
     fn cost_lower_than_uncontrolled() {
         let config = MpcConfig::new(30);
         let (traj, mpc) =
-            MpcProblem::solve(config.clone(), paper_plant(), 15_000, Scheduler::Serial);
+            MpcProblem::solve(config.clone(), paper_plant(), 15_000, BackendSpec::Serial);
         // Uncontrolled rollout from the same q0.
         let sys = mpc.system();
         let mut q = config.q0.to_vec();
@@ -341,12 +341,12 @@ mod tests {
 
     #[test]
     fn rayon_matches_serial() {
-        let (a, _) = MpcProblem::solve(MpcConfig::new(5), paper_plant(), 300, Scheduler::Serial);
+        let (a, _) = MpcProblem::solve(MpcConfig::new(5), paper_plant(), 300, BackendSpec::Serial);
         let (b, _) = MpcProblem::solve(
             MpcConfig::new(5),
             paper_plant(),
             300,
-            Scheduler::Rayon { threads: Some(2) },
+            BackendSpec::Rayon { threads: Some(2) },
         );
         for t in 0..=5 {
             assert_eq!(a.states[t], b.states[t]);
@@ -366,7 +366,7 @@ mod tests {
         let config = MpcConfig::new(10);
         let (mpc, admm) = MpcProblem::build(config.clone(), paper_plant());
         let options = SolverOptions {
-            scheduler: Scheduler::Serial,
+            backend: BackendSpec::Serial,
             rho: config.rho,
             alpha: config.alpha,
             stopping: paradmm_core::StoppingCriteria::fixed_iterations(4000),

@@ -262,7 +262,7 @@ impl Engine {
     pub fn new(config: EngineConfig) -> Self {
         Engine {
             cache: WarmStartCache::new(config.cache_capacity),
-            backend: config.backend.to_scheduler().to_backend(),
+            backend: config.backend.to_backend(),
             config,
             queue: Vec::new(),
             pack: None,
@@ -409,7 +409,7 @@ impl Engine {
             }
             let problem = AdmmProblem::with_params(p.graph, p.proxes, p.params);
             let options = SolverOptions {
-                scheduler: self.config.backend.to_scheduler(),
+                backend: self.config.backend,
                 stopping: p.stopping,
                 ..SolverOptions::default()
             };
@@ -1329,23 +1329,28 @@ mod tests {
 
     #[test]
     fn worksteal_backend_pack_stays_bit_identical() {
-        let config = EngineConfig {
-            backend: "worksteal:2".parse().unwrap(),
-            ..EngineConfig::default()
-        };
-        let mut engine = Engine::new(config);
-        for (i, t) in [[1.0, 5.0], [2.0, 4.0]].iter().enumerate() {
-            engine.submit(EngineRequest {
-                id: i as u64,
-                request: request(1, t, tight()),
-                use_cache: false,
-            });
-        }
-        for c in by_id(engine.run_until_idle()) {
-            let t = [[1.0, 5.0], [2.0, 4.0]][c.id as usize];
-            let reference = solo(1, &t, tight());
-            assert_eq!(c.outcome.iterations, reference.iterations);
-            assert_eq!(c.outcome.store.z, reference.store.z);
+        for backend in ["worksteal:2", "sharded:2"] {
+            let config = EngineConfig {
+                backend: backend.parse().unwrap(),
+                ..EngineConfig::default()
+            };
+            let mut engine = Engine::new(config);
+            for (i, t) in [[1.0, 5.0], [2.0, 4.0]].iter().enumerate() {
+                // A request's own backend string is carried, not obeyed:
+                // the engine executes on its configured backend.
+                let own = ["sharded:2", "async:2"][i];
+                engine.submit(EngineRequest {
+                    id: i as u64,
+                    request: request(1, t, tight()).with_backend(own.parse().unwrap()),
+                    use_cache: false,
+                });
+            }
+            for c in by_id(engine.run_until_idle()) {
+                let t = [[1.0, 5.0], [2.0, 4.0]][c.id as usize];
+                let reference = solo(1, &t, tight());
+                assert_eq!(c.outcome.iterations, reference.iterations, "{backend}");
+                assert_eq!(c.outcome.store.z, reference.store.z, "{backend}");
+            }
         }
     }
 

@@ -552,6 +552,31 @@ mod tests {
         assert_eq!(a.iterations, b.iterations);
         assert_eq!(a.store.z, b.store.z);
         assert_eq!(a.store.u, b.store.u);
+
+        // Every backend family survives the wire, bare and counted.
+        for family in paradmm_core::BACKEND_FAMILIES {
+            let counted = format!("{family}:2");
+            for text in [family, counted.as_str()] {
+                let Ok(spec) = text.parse::<paradmm_core::BackendSpec>() else {
+                    assert_eq!(text, "serial:2", "only serial takes no count");
+                    continue;
+                };
+                let req = request().with_backend(spec);
+                let bytes = encode_request(7, &req, false).unwrap();
+                let got = decode_request(&bytes).unwrap().request;
+                assert_eq!(got.backend(), spec, "{text}");
+                assert_eq!(got.backend().to_string(), text);
+            }
+        }
+        // The sharded executor solves a decoded request bit-identically.
+        let req = request().with_backend("sharded:2".parse().unwrap());
+        let got = decode_request(&encode_request(8, &req, false).unwrap())
+            .unwrap()
+            .request;
+        let b = got.solve();
+        assert_eq!(a.iterations, b.iterations);
+        assert_eq!(a.store.z, b.store.z);
+        assert_eq!(a.store.u, b.store.u);
     }
 
     #[test]

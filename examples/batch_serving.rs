@@ -42,8 +42,8 @@ fn main() {
     let spec = std::env::args()
         .nth(1)
         .unwrap_or_else(|| "worksteal:2".into());
-    let scheduler = match spec.parse::<BackendSpec>() {
-        Ok(spec) => spec.to_scheduler(),
+    let backend = match spec.parse::<BackendSpec>() {
+        Ok(spec) => spec,
         Err(e) => {
             eprintln!("{e}");
             std::process::exit(2);
@@ -51,7 +51,7 @@ fn main() {
     };
     let n = 24;
     let options = SolverOptions {
-        scheduler,
+        backend,
         stopping: StoppingCriteria {
             max_iters: 3000,
             eps_abs: 1e-6,

@@ -26,10 +26,10 @@ fn main() {
         Box::new(L1Prox::new(1.0)),                         // |s|
     ];
 
-    // 3. Solve. Swap `Scheduler::Serial` for `Scheduler::Rayon { threads:
+    // 3. Solve. Swap `BackendSpec::Serial` for `BackendSpec::Rayon { threads:
     //    None }` and the same serial operators run data-parallel.
     let options = SolverOptions {
-        scheduler: Scheduler::Serial,
+        backend: BackendSpec::Serial,
         rho: 1.0,
         alpha: 1.0,
         stopping: StoppingCriteria {

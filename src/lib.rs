@@ -54,12 +54,12 @@ pub use paradmm_svm as svm;
 /// Convenient glob-import of the most common types.
 pub mod prelude {
     pub use paradmm_core::{
-        kernel_dispatch, set_kernel_dispatch, AdmmProblem, AsyncBackend, AutoBackend, BackendSpec,
+        kernel_dispatch, set_kernel_dispatch, AdmmProblem, AutoBackend, BackendSpec,
         BarrierBackend, BatchReport, BatchSolver, FleetSolver, InstanceReport, KernelDispatch,
-        Pass, PassKind, Planner, Priority, ProxCtx, ProxOp, RayonBackend, Residuals, Scheduler,
-        SerialBackend, ShardedBackend, SolveOutcome, SolveRequest, Solver, SolverOptions,
-        SolverReport, StopReason, StoppingCriteria, SweepCosts, SweepExecutor, SweepPlan,
-        UpdateKind, UpdateTimings, WorkStealingBackend,
+        Pass, PassKind, Planner, Priority, ProxCtx, ProxOp, RayonBackend, Residuals, SerialBackend,
+        SolveOutcome, SolveRequest, Solver, SolverOptions, SolverReport, StaleBoundedBackend,
+        StopReason, StoppingCriteria, SweepCosts, SweepExecutor, SweepPlan, UpdateKind,
+        UpdateTimings, WorkStealingBackend,
     };
     pub use paradmm_gpusim::GpuSimBackend;
     pub use paradmm_graph::{

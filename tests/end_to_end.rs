@@ -3,7 +3,8 @@
 //! schedulers and the simulated GPU.
 
 use paradmm::core::{
-    Scheduler, SerialBackend, Solver, SolverOptions, StoppingCriteria, SweepExecutor, UpdateTimings,
+    BackendSpec, SerialBackend, Solver, SolverOptions, StoppingCriteria, SweepExecutor,
+    UpdateTimings,
 };
 use paradmm::gpusim::{GpuAdmmEngine, SimtDevice};
 use paradmm::graph::VarStore;
@@ -14,13 +15,13 @@ use rand::SeedableRng;
 
 #[test]
 fn packing_all_schedulers_identical() {
-    let solve = |scheduler| {
-        let (sol, _) = PackingProblem::solve(PackingConfig::new(6), 300, 17, scheduler);
+    let solve = |backend| {
+        let (sol, _) = PackingProblem::solve(PackingConfig::new(6), 300, 17, backend);
         sol
     };
-    let serial = solve(Scheduler::Serial);
-    let rayon = solve(Scheduler::Rayon { threads: Some(2) });
-    let barrier = solve(Scheduler::Barrier { threads: 3 });
+    let serial = solve(BackendSpec::Serial);
+    let rayon = solve(BackendSpec::Rayon { threads: Some(2) });
+    let barrier = solve(BackendSpec::Barrier { threads: Some(3) });
     for i in 0..6 {
         assert_eq!(serial.disks[i].c, rayon.disks[i].c);
         assert_eq!(serial.disks[i].r, rayon.disks[i].r);
@@ -48,7 +49,7 @@ fn gpu_engine_matches_serial_on_mpc() {
 fn svm_end_to_end_classifies() {
     let mut rng = rand::rngs::StdRng::seed_from_u64(31);
     let data = gaussian_mixture(80, 2, 6.0, &mut rng);
-    let (model, _) = SvmProblem::train(&data, SvmConfig::default(), 2500, Scheduler::Serial);
+    let (model, _) = SvmProblem::train(&data, SvmConfig::default(), 2500, BackendSpec::Serial);
     assert!(data.accuracy(&model.w, model.b) > 0.95);
 }
 
@@ -61,7 +62,7 @@ fn packing_respects_constraints_in_square() {
         alpha: 1.0,
     };
     let container = config.container.clone();
-    let (sol, _) = PackingProblem::solve(config, 5000, 5, Scheduler::Serial);
+    let (sol, _) = PackingProblem::solve(config, 5000, 5, BackendSpec::Serial);
     assert!(
         sol.worst_overlap() > -0.03,
         "overlap {}",
@@ -87,7 +88,7 @@ fn mpc_receding_horizon_keeps_pole_up() {
         c.q0 = q;
         let (mpc, admm) = MpcProblem::build(c.clone(), paper_plant());
         let options = SolverOptions {
-            scheduler: Scheduler::Serial,
+            backend: BackendSpec::Serial,
             rho: c.rho,
             alpha: c.alpha,
             stopping: StoppingCriteria::fixed_iterations(3000),

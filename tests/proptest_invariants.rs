@@ -4,7 +4,7 @@
 use proptest::prelude::*;
 
 use paradmm::core::{
-    AdmmProblem, FleetSolver, Residuals, Scheduler, SerialBackend, Solver, SolverOptions,
+    AdmmProblem, BackendSpec, FleetSolver, Residuals, SerialBackend, Solver, SolverOptions,
     StoppingCriteria, SweepExecutor, UpdateTimings,
 };
 use paradmm::graph::{
@@ -129,7 +129,7 @@ proptest! {
                 .collect();
             AdmmProblem::new(g.clone(), proxes, 1.5, 0.9)
         };
-        let run = |p: &AdmmProblem, s: Scheduler| {
+        let run = |p: &AdmmProblem, s: BackendSpec| {
             let mut store = VarStore::zeros(p.graph());
             let mut t = UpdateTimings::new();
             s.to_backend().run_block(p, &mut store, 7, &mut t);
@@ -139,11 +139,11 @@ proptest! {
         let pb = make();
         let pc = make();
         let pd = make();
-        let z_serial = run(&pa, Scheduler::Serial);
-        let z_rayon = run(&pb, Scheduler::Rayon { threads: Some(threads) });
-        let z_barrier = run(&pc, Scheduler::Barrier { threads });
-        let z_worksteal = run(&pd, Scheduler::WorkSteal { threads });
-        let z_sharded = run(&make(), Scheduler::Sharded { parts: threads });
+        let z_serial = run(&pa, BackendSpec::Serial);
+        let z_rayon = run(&pb, BackendSpec::Rayon { threads: Some(threads) });
+        let z_barrier = run(&pc, BackendSpec::Barrier { threads: Some(threads) });
+        let z_worksteal = run(&pd, BackendSpec::WorkSteal { threads: Some(threads) });
+        let z_sharded = run(&make(), BackendSpec::Sharded { parts: Some(threads) });
         prop_assert_eq!(&z_serial, &z_rayon);
         prop_assert_eq!(&z_serial, &z_barrier);
         prop_assert_eq!(&z_serial, &z_worksteal);
@@ -182,7 +182,7 @@ proptest! {
             AdmmProblem::new(g.clone(), proxes, 1.5, 0.9)
         };
         let options = SolverOptions {
-            scheduler: Scheduler::Fleet { threads },
+            backend: BackendSpec::Fleet { threads: Some(threads) },
             stopping,
             ..SolverOptions::default()
         };

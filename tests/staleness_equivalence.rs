@@ -5,8 +5,8 @@
 //! reads may consume neighbor state up to `k` iterations stale. The
 //! contract this suite pins:
 //!
-//! * **`k = 0` is bit-identical** to [`ShardedBackend`] (and therefore
-//!   to the serial five-sweep reference) on every problem — with the
+//! * **`k = 0` is bit-identical** to the serial five-sweep reference
+//!   on every problem — with the
 //!   waits tightened to "neighbor finished this iteration", the
 //!   barrier-free protocol replays the exact synchronous fold, on all
 //!   three paper generators plus the degree-imbalanced hub graph, for
@@ -19,8 +19,8 @@
 //!   two invariants the wait loops rest on (property-tested below).
 
 use paradmm::core::{
-    watermark, AdmmProblem, AsyncBackend, SerialBackend, ShardedBackend, StaleBoundedBackend,
-    SweepExecutor, SweepPlan, UpdateTimings,
+    watermark, AdmmProblem, BackendSpec, SerialBackend, StaleBoundedBackend, SweepExecutor,
+    SweepPlan, UpdateTimings,
 };
 use paradmm::graph::{Partition, VarStore};
 use paradmm::mpc::{pendulum::paper_plant, MpcConfig, MpcProblem};
@@ -49,14 +49,24 @@ fn run_from_seeded_state(
     store
 }
 
-/// Asserts k=0 stale execution is bit-identical to the sharded backend
-/// (which is itself pinned to serial by `backend_equivalence`) across
-/// part counts and partition styles, under fused and unfused plans.
+/// Asserts k=0 stale execution is bit-identical to the serial
+/// five-sweep reference across part counts and partition styles, under
+/// fused and unfused plans.
 fn assert_k0_bit_identical(problem: &mut AdmmProblem, iters: usize, label: &str) {
     problem.set_plan(SweepPlan::unfused(problem));
     let serial = run_from_seeded_state(problem, &mut SerialBackend, iters);
     problem.clear_plan();
 
+    let assert_matches = |got: &VarStore, which: &str| {
+        assert_eq!(serial.x, got.x, "{which}: x diverged from serial");
+        assert_eq!(serial.z, got.z, "{which}: z diverged from serial");
+        assert_eq!(serial.u, got.u, "{which}: u diverged from serial");
+        assert_eq!(serial.n, got.n, "{which}: n diverged from serial");
+        assert_eq!(
+            serial.z_prev, got.z_prev,
+            "{which}: z_prev diverged from serial"
+        );
+    };
     for fused in [true, false] {
         if fused {
             problem.clear_plan();
@@ -65,33 +75,19 @@ fn assert_k0_bit_identical(problem: &mut AdmmProblem, iters: usize, label: &str)
         }
         let plan_label = if fused { "fused" } else { "unfused" };
         for parts in [1usize, 2, 4] {
-            let sharded = run_from_seeded_state(problem, &mut ShardedBackend::new(parts), iters);
-
             let mut stale = StaleBoundedBackend::new(parts, 0);
             let got = run_from_seeded_state(problem, &mut stale, iters);
             let which = format!("{label}[{plan_label}] stale({parts}, k=0)");
-            assert_eq!(serial.z, got.z, "{which}: z diverged from serial");
-            assert_eq!(sharded.z, got.z, "{which}: z diverged from sharded");
-            assert_eq!(sharded.x, got.x, "{which}: x diverged");
-            assert_eq!(sharded.u, got.u, "{which}: u diverged");
-            assert_eq!(sharded.n, got.n, "{which}: n diverged");
-            assert_eq!(sharded.z_prev, got.z_prev, "{which}: z_prev diverged");
+            assert_matches(&got, &which);
             assert_eq!(stale.max_observed_skew(), 0, "{which}: k=0 must not skew");
 
             // Contiguous partitions interleave a halo variable's edges
             // across shards — the hard case for the ordered reduce.
             let contiguous = Partition::contiguous(problem.graph(), parts);
-            let mut stale_cont = StaleBoundedBackend::with_partition(contiguous.clone(), 0);
+            let mut stale_cont = StaleBoundedBackend::with_partition(contiguous, 0);
             let got_cont = run_from_seeded_state(problem, &mut stale_cont, iters);
-            let sharded_cont = run_from_seeded_state(
-                problem,
-                &mut ShardedBackend::with_partition(contiguous),
-                iters,
-            );
             let which = format!("{label}[{plan_label}] stale({parts}, contiguous, k=0)");
-            assert_eq!(sharded_cont.z, got_cont.z, "{which}: z diverged");
-            assert_eq!(sharded_cont.u, got_cont.u, "{which}: u diverged");
-            assert_eq!(sharded_cont.n, got_cont.n, "{which}: n diverged");
+            assert_matches(&got_cont, &which);
         }
     }
     problem.clear_plan();
@@ -165,14 +161,16 @@ fn stale_iterates_converge_to_serial_optimum() {
 
 #[test]
 fn async_backend_routes_to_bounded_staleness() {
-    // The seed activation engine is retired from the execution path:
-    // `AsyncBackend` is now the bounded-staleness executor at its
-    // default (small) staleness bound.
-    let backend = AsyncBackend::new(3);
-    assert_eq!(backend.name(), "async");
-    assert_eq!(backend.threads(), 3);
-    assert_eq!(backend.staleness(), AsyncBackend::DEFAULT_STALENESS);
-    assert_eq!(AsyncBackend::DEFAULT_STALENESS, 1);
+    // `async[:N]` and `sharded[:N]` both build the bounded-staleness
+    // executor, at k = 1 and k = 0; each reports the family that built it.
+    for (text, k) in [("async:3", 1usize), ("sharded:3", 0)] {
+        let spec: BackendSpec = text.parse().unwrap();
+        assert_eq!(spec.to_backend().name(), spec.family());
+        let backend = StaleBoundedBackend::new(3, k);
+        assert_eq!(backend.name(), spec.family());
+        assert_eq!(backend.parts(), 3);
+        assert_eq!(backend.staleness(), k);
+    }
 }
 
 #[test]
@@ -253,11 +251,12 @@ proptest! {
         let got = run_from_seeded_state(&problem, &mut backend, iters);
         prop_assert!(backend.max_observed_skew() <= k);
         if k == 0 {
-            let reference =
-                run_from_seeded_state(&problem, &mut ShardedBackend::new(parts), iters);
+            let reference = run_from_seeded_state(&problem, &mut SerialBackend, iters);
+            prop_assert_eq!(&reference.x, &got.x);
             prop_assert_eq!(&reference.z, &got.z);
             prop_assert_eq!(&reference.u, &got.u);
             prop_assert_eq!(&reference.n, &got.n);
+            prop_assert_eq!(&reference.z_prev, &got.z_prev);
         }
     }
 }

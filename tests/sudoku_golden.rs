@@ -8,7 +8,7 @@
 //! regression anywhere in the stack shows up as a count drift long
 //! before it breaks convergence outright.
 
-use paradmm::core::Scheduler;
+use paradmm::core::BackendSpec;
 use paradmm::sudoku::{Grid, SudokuConfig, SudokuProblem};
 
 /// The easy 9×9 instance (many givens) used across the test suite.
@@ -46,7 +46,7 @@ const GOLDEN_ITERS: std::ops::RangeInclusive<usize> = 100..=500;
 fn serial_solves_fixed_9x9_within_golden_window() {
     let givens = easy9();
     let (grid, iters) =
-        SudokuProblem::solve_with_scheduler(&givens, &golden_config(), 11, Scheduler::Serial)
+        SudokuProblem::solve_with_backend(&givens, &golden_config(), 11, BackendSpec::Serial)
             .expect("fixed 9×9 must solve");
     assert!(grid.is_solved());
     assert!(grid.is_completion_of(&givens));
@@ -61,13 +61,13 @@ fn worksteal_solves_fixed_9x9_identically_to_serial() {
     let givens = easy9();
     let config = golden_config();
     let (serial_grid, serial_iters) =
-        SudokuProblem::solve_with_scheduler(&givens, &config, 11, Scheduler::Serial)
+        SudokuProblem::solve_with_backend(&givens, &config, 11, BackendSpec::Serial)
             .expect("fixed 9×9 must solve on serial");
-    let (ws_grid, ws_iters) = SudokuProblem::solve_with_scheduler(
+    let (ws_grid, ws_iters) = SudokuProblem::solve_with_backend(
         &givens,
         &config,
         11,
-        Scheduler::WorkSteal { threads: 3 },
+        BackendSpec::WorkSteal { threads: Some(3) },
     )
     .expect("fixed 9×9 must solve on worksteal");
 
